@@ -65,7 +65,7 @@ BM_MeshSendDeliver(benchmark::State &state)
         net::Coord dst{static_cast<std::uint16_t>(rng.below(5)),
                        static_cast<std::uint16_t>(rng.below(5))};
         mesh.send(now, src, dst, sink);
-        mesh.deliver(now + 16,
+        mesh.deliver(now,
                      [&](net::Coord, std::uint64_t &&v) { sink += v; });
         ++now;
     }

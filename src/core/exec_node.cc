@@ -7,20 +7,6 @@
 
 namespace edge::core {
 
-namespace {
-
-inline void
-setBit(std::vector<std::uint64_t> &words, unsigned idx, bool on)
-{
-    std::uint64_t mask = std::uint64_t{1} << (idx & 63);
-    if (on)
-        words[idx >> 6] |= mask;
-    else
-        words[idx >> 6] &= ~mask;
-}
-
-} // namespace
-
 ExecNode::ExecNode(const CoreParams &params, NodeStats stats, SendFn send,
                    chaos::ChaosEngine *chaos, unsigned node_index)
     : _p(params),
@@ -82,6 +68,20 @@ ExecNode::inputState(unsigned rs) const
     for (unsigned k = 0; k < _numOps[rs]; ++k)
         s = andState(s, _opState[rs * isa::kMaxOperands + k]);
     return s;
+}
+
+void
+ExecNode::setBit(std::vector<std::uint64_t> &words, unsigned idx, bool on)
+{
+    std::uint64_t &word = words[idx >> 6];
+    std::uint64_t mask = std::uint64_t{1} << (idx & 63);
+    if (((word & mask) != 0) == on)
+        return;
+    word ^= mask;
+    if (on)
+        ++_wantBits;
+    else
+        --_wantBits;
 }
 
 void
@@ -396,18 +396,6 @@ ExecNode::tick(Cycle now)
         }
     }
     return did;
-}
-
-bool
-ExecNode::hasWork() const
-{
-    for (std::uint64_t w : _wantAlu)
-        if (w)
-            return true;
-    for (std::uint64_t w : _wantUpgrade)
-        if (w)
-            return true;
-    return false;
 }
 
 unsigned

@@ -16,10 +16,11 @@
  *
  * Reservation-station state is stored structure-of-arrays: the issue
  * scan walks two per-slot want-bitmaps (want-ALU, want-upgrade) kept
- * incrementally up to date by deliver/map/issue, so an idle node
- * answers hasWork() from a couple of words and a busy node's tick
- * touches only the slots that can actually issue — instead of
- * striding over ~100-byte cold slot objects every cycle.
+ * incrementally up to date by deliver/map/issue, together with a
+ * count of their set bits, so an idle node answers hasWork() in O(1)
+ * and a busy node's tick touches only the slots that can actually
+ * issue — instead of striding over ~100-byte cold slot objects every
+ * cycle.
  */
 
 #ifndef EDGE_CORE_EXEC_NODE_HH
@@ -112,9 +113,9 @@ class ExecNode
      * True if tick(now) would issue anything — i.e. some slot wants
      * the ALU or a commit-port upgrade. The event-driven engine skips
      * the node (and lets the cycle loop skip whole cycles) when every
-     * node answers false. O(words of the want-bitmaps).
+     * node answers false. O(1): a count of the set want bits.
      */
-    bool hasWork() const;
+    bool hasWork() const { return _wantBits != 0; }
 
     /** Number of occupied slots (tests / deadlock dumps). */
     unsigned occupancy() const;
@@ -133,6 +134,12 @@ class ExecNode
 
     bool allSeen(unsigned rs) const { return _seen[rs] == _full[rs]; }
     ValState inputState(unsigned rs) const;
+
+    /**
+     * Set or clear bit `idx` of a want-bitmap, keeping _wantBits in
+     * step. Every change to _wantAlu/_wantUpgrade goes through here.
+     */
+    void setBit(std::vector<std::uint64_t> &words, unsigned idx, bool on);
 
     /** Re-derive the two want bits of slot `rs` from its flags. */
     void refreshWant(unsigned rs);
@@ -188,6 +195,7 @@ class ExecNode
     // seen, and it wants an ALU issue / a commit-port upgrade.
     std::vector<std::uint64_t> _wantAlu;
     std::vector<std::uint64_t> _wantUpgrade;
+    unsigned _wantBits = 0; ///< set bits across both want-bitmaps
 };
 
 } // namespace edge::core

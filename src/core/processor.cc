@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/scheduler.hh"
-
-static const bool kTrace = std::getenv("EDGE_TRACE") != nullptr;
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -518,10 +514,6 @@ Processor::mapFetchedBlock(Cycle now)
 
     BlockId succ = b.exits()[e];
     DynBlockSeq seq = ctx.seq;
-    if (kTrace && seq < 40)
-        std::fprintf(stderr, "map seq=%llu blk=%u cyc=%llu\n",
-                     (unsigned long long)seq, bid,
-                     (unsigned long long)now);
     // The context must be visible before the LSQ / register unit
     // map the block: register reads can forward immediately.
     _inflight.push_back(std::move(ctx));
@@ -548,11 +540,6 @@ Processor::commitTick(Cycle now)
                    (!need_final || ctx.exitState == ValState::Final);
     bool writes_ok = _regs->blockWritesFinal(ctx.seq, need_final);
     bool mem_ok = _lsq->blockMemFinal(ctx.seq);
-    if (kTrace) {
-        if (exit_ok && !ctx.dbgExitOk) ctx.dbgExitOk = now;
-        if (writes_ok && !ctx.dbgWritesOk) ctx.dbgWritesOk = now;
-        if (mem_ok && !ctx.dbgMemOk) ctx.dbgMemOk = now;
-    }
     if (!exit_ok || !writes_ok || !mem_ok)
         return false;
 
@@ -583,15 +570,6 @@ Processor::commitTick(Cycle now)
         node->clearFrame(ctx.frame);
     _freeFrames.push_back(ctx.frame);
 
-    if (kTrace && ctx.seq < 40)
-        std::fprintf(stderr,
-                     "commit seq=%llu cyc=%llu exitOk=%llu "
-                     "writesOk=%llu memOk=%llu\n",
-                     (unsigned long long)ctx.seq,
-                     (unsigned long long)now,
-                     (unsigned long long)ctx.dbgExitOk,
-                     (unsigned long long)ctx.dbgWritesOk,
-                     (unsigned long long)ctx.dbgMemOk);
     _trace.push({now, chaos::TraceEvent::Kind::Commit, ctx.seq, 0, 0,
                  ctx.exitValue, true});
     ++_statCommittedBlocks;

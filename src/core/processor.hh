@@ -177,9 +177,6 @@ class Processor
         unsigned fetchedExit = 0;   ///< exit the fetch chain follows
         std::uint64_t historySnapshot = 0;
 
-        // Debug (EDGE_TRACE): first cycle each commit condition held.
-        Cycle dbgExitOk = 0, dbgWritesOk = 0, dbgMemOk = 0;
-
         bool exitSeen = false;
         Word exitValue = 0;
         ValState exitState = ValState::Spec;

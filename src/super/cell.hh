@@ -40,9 +40,10 @@ struct CellSpec
      * purpose instead of running the cell: "segv" dereferences null,
      * "abort" raises SIGABRT, "kill" raises SIGKILL, "hang" sleeps
      * forever, "exit3" exits with status 3, "garbage" prints a
-     * non-JSON line and exits 0. This is how the signal-classification
-     * tests produce real dead children without shipping a genuinely
-     * crashy workload.
+     * non-JSON line and exits 0, "linger" closes stdout and exits 0
+     * (with no result) 10 ms later. This is how the
+     * signal-classification tests produce real dead children without
+     * shipping a genuinely crashy workload.
      */
     std::string testCrash;
 };

@@ -400,11 +400,15 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
 
         // Poll every live pipe; wake early for the nearest deadline
         // or backoff expiry, and at least every 100 ms for the stop
-        // flag.
+        // flag. A child whose pipes are all closed but which is not
+        // reaped yet gives poll nothing to wake on, so while one
+        // exists, poll for at most 1 ms and look for its exit again.
         std::vector<pollfd> fds;
         std::vector<std::pair<std::size_t, bool>> fdOwner; // (child, isIn)
+        int timeout_ms = 100;
         for (std::size_t ci = 0; ci < active.size(); ++ci) {
             Child &c = active[ci];
+            std::size_t before = fds.size();
             if (c.inFd >= 0 && c.inOff < c.inBuf.size()) {
                 fds.push_back({c.inFd, POLLOUT, 0});
                 fdOwner.emplace_back(ci, true);
@@ -413,8 +417,9 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
                 fds.push_back({c.outFd, POLLIN, 0});
                 fdOwner.emplace_back(ci, false);
             }
+            if (fds.size() == before)
+                timeout_ms = 1;
         }
-        int timeout_ms = 100;
         for (const Child &c : active)
             if (c.hasDeadline && !c.timedOut) {
                 auto left =

@@ -8,6 +8,8 @@
 #include <ostream>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "sim/simulator.hh"
 #include "super/cell.hh"
@@ -36,6 +38,11 @@ maybeTestCrash(const std::string &mode, std::ostream &out)
             std::this_thread::sleep_for(std::chrono::seconds(1));
     } else if (mode == "exit3") {
         std::exit(3);
+    } else if (mode == "linger") {
+        // EOF on the result pipe well before the exit status exists.
+        ::close(STDOUT_FILENO);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        std::_Exit(0);
     } else if (mode == "garbage") {
         out << "this is not a result document\n";
         out.flush();

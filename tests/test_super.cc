@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -520,6 +521,32 @@ TEST(SuperClassify, CleanExitWithoutResultIsWorkerProtocol)
     r = runOneSupervised("garbage");
     EXPECT_EQ(r.error.reason,
               chaos::SimError::Reason::WorkerProtocol);
+}
+
+TEST(SuperClassify, WorkerExitAfterStdoutEofIsReapedPromptly)
+{
+    // Each worker closes stdout 10 ms before it exits. Its pipes are
+    // then gone but its exit status is not there yet; a supervisor
+    // that waits on poll() alone sleeps its whole 100 ms timeout per
+    // cell before it reaps.
+    super::SupervisorOptions so = noRetryOptions();
+    so.jobs = 1;
+    std::vector<super::CellSpec> cells;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        cells.push_back(kernelCell(seed));
+        cells.back().testCrash = "linger";
+    }
+    super::Supervisor sup(std::move(so));
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<super::CellOutcome> out = sup.runAll(cells);
+    auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    ASSERT_EQ(out.size(), cells.size());
+    for (const super::CellOutcome &o : out)
+        EXPECT_EQ(o.result.error.reason,
+                  chaos::SimError::Reason::WorkerProtocol);
+    EXPECT_LT(ms, 1000) << "20 serial cells took " << ms << " ms";
 }
 
 TEST(SuperClassify, WorkerDeathCapturesRepro)
